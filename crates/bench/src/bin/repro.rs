@@ -7,7 +7,7 @@
 //!       [--deadline-ms N]
 //!
 //! experiments: fig1 fig3 table2 fig7 fig9 fig10 fig11 fig12 fig13 fig14
-//!              table3 ablations serve batch backends tune all
+//!              table3 ablations serve batch backends all
 //! ```
 //!
 //! `--quick` shrinks networks/sweeps (used by CI and Criterion); the default
@@ -15,16 +15,12 @@
 //! the batch-major executor comparison (`repro serve --batch` prints the
 //! serving tables plus the per-request vs batch-major throughput table).
 //! `--backend NAME` selects the executor backend the `serve` experiment
-//! drives the engine with (`factorized`, `compiled`, `batch`,
-//! `batch-threads`, `flattened`, `flattened-batch`, or the cost-model
-//! dispatcher `auto`); the `backends` experiment prints the all-backends
+//! drives the engine with (`batch-threads`, the default, or
+//! `flattened-batch`); the `backends` experiment prints the all-backends
 //! comparison table **and writes it as machine-readable
 //! `BENCH_backends.json`** (into `--out DIR` when given, the working
 //! directory otherwise) so the perf trajectory of the executor backends is
-//! tracked across commits. The `tune` experiment runs the calibration
-//! micro-probe over the serving model zoo and writes the resulting
-//! (layer shape × batch bucket) cost table as `BENCH_tune.json` the same
-//! way. With `--out DIR` every table is also written as
+//! tracked across commits. With `--out DIR` every table is also written as
 //! `DIR/<experiment>.csv`.
 //!
 //! The `serve` experiment is the load-harness front door and **always
@@ -47,6 +43,7 @@ use ucnn_bench::cli;
 use ucnn_bench::experiments::{self, ServeOpts};
 use ucnn_bench::TableOut;
 use ucnn_core::backend::BackendKind;
+use ucnn_core::plan::CompiledNetwork;
 
 const ALL: &[&str] = &[
     "fig1",
@@ -64,7 +61,6 @@ const ALL: &[&str] = &[
     "serve",
     "batch",
     "backends",
-    "tune",
 ];
 
 fn run_one(name: &str, quick: bool, serve_opts: &ServeOpts) -> Option<Vec<TableOut>> {
@@ -92,7 +88,6 @@ fn run_one(name: &str, quick: bool, serve_opts: &ServeOpts) -> Option<Vec<TableO
         ],
         "batch" => vec![experiments::batch_exec(quick)],
         "backends" => vec![experiments::backend_table(quick)],
-        "tune" => vec![experiments::tune_table(quick)],
         _ => return None,
     };
     Some(tables)
@@ -110,7 +105,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        None => BackendKind::BatchThreads,
+        None => CompiledNetwork::DEFAULT_BACKEND,
     };
 
     // The serve load-harness knobs. Parse failures on numeric flags are
@@ -211,7 +206,6 @@ fn main() -> ExitCode {
             let bench_json = match (name.as_str(), i) {
                 ("backends", _) => Some("BENCH_backends.json"),
                 ("serve", 0) => Some("BENCH_serve.json"),
-                ("tune", _) => Some("BENCH_tune.json"),
                 _ => None,
             };
             if let Some(file) = bench_json {

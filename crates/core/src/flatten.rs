@@ -1,5 +1,5 @@
 //! Branch-free flattened lowering of retained streams — the compile-time
-//! form behind [`BackendKind::Flattened`](crate::backend::BackendKind).
+//! form behind [`BackendKind::FlattenedBatch`](crate::backend::BackendKind).
 //!
 //! [`run_compiled`](crate::exec::run_compiled()) walks a
 //! [`GroupStream`] entry by entry: every
@@ -46,24 +46,20 @@
 //! range is computed **once per entry per output position** and feeds all
 //! `LW` images.
 //!
-//! The strip width and codegen follow the dispatched [`KernelSel`]
+//! The strip width and codegen follow the dispatched [`SimdTier`]
 //! ([`simd`](crate::simd)): the `scalar` tier keeps the historical
 //! [`LANE_WIDTH`]` = 8` strips under baseline codegen, while the `avx2` /
 //! `avx512` tiers run the same strip body 16/32 lanes wide inside
 //! `#[target_feature]`-gated kernels so the compiler emits full-width
-//! 256/512-bit arithmetic. On power-of-two weight alphabets (INQ, ternary
-//! TTQ) phase 2 swaps the broadcast multiply for shift-add accumulation.
-//! Per lane the i32 operation sequence is identical at every width, every
-//! tier, and both phase-2 forms (`x · ±2^k ≡ ±(x << k)` in two's
-//! complement), so outputs stay bit-identical to [`run_flattened`] across
-//! all of them — the golden conformance corpus is the referee.
+//! 256/512-bit arithmetic. Per lane the i32 operation sequence is identical
+//! at every width and every tier, so outputs stay bit-identical to
+//! [`run_flattened`] across all of them — the golden conformance corpus is
+//! the referee.
 //!
 //! Scratch (the interleaved chunk, the prefix lanes, the lane-major output)
-//! lives in a [`FlattenedScratch`] arena whose capacity follows the
-//! dispatched kernel width ([`FlattenedScratch::reserve_for`]). The module
-//! keeps one arena per thread, so a serving worker's steady-state hot path
-//! stops allocating per request; callers that want explicit control use the
-//! `*_with` variants.
+//! lives in a per-thread arena whose capacity follows the dispatched kernel
+//! width, so a serving worker's steady-state hot path stops allocating per
+//! request.
 
 use std::cell::RefCell;
 
@@ -71,7 +67,7 @@ use ucnn_tensor::{ConvGeom, Tensor3};
 
 use crate::hierarchy::{GroupStream, ZERO_RANK};
 use crate::plan::CompiledLayer;
-use crate::simd::{KernelSel, SimdTier};
+use crate::simd::{SimdCaps, SimdTier};
 
 /// The flattened, branch-free form of one retained tile: per-entry gather
 /// offsets plus CSR-style activation-group ranges per level.
@@ -110,44 +106,6 @@ pub struct FlattenedTile {
     seg_end: Vec<u32>,
     /// Per segment: the group's canonical (non-zero) weight value.
     seg_weight: Vec<i32>,
-    /// `true` when every segment weight is `±2^k` — the tile qualifies for
-    /// the shift-add phase-2 kernel (INQ and ternary TTQ alphabets always
-    /// do). Classified once at lowering time.
-    pow2: bool,
-    /// Per segment, only when `pow2`: signed shift code `±(k + 1)` for a
-    /// weight of `±2^k` (the magnitude is never zero, so `|code| ≥ 1`).
-    /// When `pow2`, each level's segments are additionally **sorted by
-    /// code** at lowering time (wrapping i32 addition is commutative, so
-    /// the permutation is bit-invisible), collapsing the codes into a few
-    /// runs per level.
-    seg_shift: Vec<i8>,
-    /// Per level `l`, only when `pow2`: runs `run_ptr[l]..run_ptr[l + 1]`
-    /// belong to `l` — the CSR analog of `seg_ptr` over equal-code runs.
-    run_ptr: Vec<u32>,
-    /// Per run: one past the last segment of the run.
-    run_end: Vec<u32>,
-    /// Per run: the common shift code of every segment in the run. The
-    /// shift-add kernel hoists the shift and the sign out of the segment
-    /// loop per run — the per-segment work is a bare add/sub, with no
-    /// data-dependent branch to mispredict on sign-random alphabets.
-    run_code: Vec<i8>,
-}
-
-/// The shift code for a `±2^k` segment weight: `±(k + 1)`; `None` when the
-/// weight is not a (signed) power of two.
-fn shift_code(weight: i32) -> Option<i8> {
-    let mag = weight.unsigned_abs();
-    if mag == 0 || !mag.is_power_of_two() {
-        return None;
-    }
-    let k = mag.trailing_zeros();
-    // Canonical weights widen from i16, so k ≤ 15 in practice; the i8 code
-    // caps at 30 defensively (shifting past that would change wrapping).
-    if k > 30 {
-        return None;
-    }
-    let code = (k as i8) + 1;
-    Some(if weight < 0 { -code } else { code })
 }
 
 impl FlattenedTile {
@@ -218,56 +176,6 @@ impl FlattenedTile {
         }
         seg_ptr.push(u32::try_from(seg_start.len()).expect("segment count fits u32"));
 
-        // Alphabet classification (once, at plan-compile time): the tile
-        // takes the shift-add phase 2 iff every segment weight is ±2^k.
-        let codes: Option<Vec<i8>> = seg_weight.iter().map(|&w| shift_code(w)).collect();
-        let (pow2, mut seg_shift) = match codes {
-            Some(v) => (true, v),
-            None => (false, Vec::new()),
-        };
-
-        // On pow2 alphabets, sort each level's segments by shift code and
-        // record the equal-code runs. Wrapping i32 addition commutes and
-        // `<< k` distributes over it, so both phase-2 kernels are
-        // bit-identical under the permutation — but the shift-add kernel
-        // can now hoist the shift and the sign per run instead of paying a
-        // data-dependent branch per segment (weight signs are effectively
-        // random in INQ/TTQ streams, so that branch never predicts).
-        let mut run_ptr = Vec::new();
-        let mut run_end = Vec::new();
-        let mut run_code = Vec::new();
-        if pow2 {
-            run_ptr.reserve(g + 1);
-            for level in 0..g {
-                run_ptr.push(u32::try_from(run_end.len()).expect("run count fits u32"));
-                let s0 = seg_ptr[level] as usize;
-                let s1 = seg_ptr[level + 1] as usize;
-                let mut order: Vec<usize> = (s0..s1).collect();
-                order.sort_by_key(|&si| seg_shift[si]);
-                let apply_u32 = |v: &mut Vec<u32>| {
-                    let permuted: Vec<u32> = order.iter().map(|&si| v[si]).collect();
-                    v[s0..s1].copy_from_slice(&permuted);
-                };
-                apply_u32(&mut seg_start);
-                apply_u32(&mut seg_end);
-                let w: Vec<i32> = order.iter().map(|&si| seg_weight[si]).collect();
-                seg_weight[s0..s1].copy_from_slice(&w);
-                let c: Vec<i8> = order.iter().map(|&si| seg_shift[si]).collect();
-                seg_shift[s0..s1].copy_from_slice(&c);
-                for (si, &code) in seg_shift.iter().enumerate().take(s1).skip(s0) {
-                    if run_end.len() == run_ptr[level] as usize
-                        || run_code[run_end.len() - 1] != code
-                    {
-                        run_end.push(si as u32 + 1);
-                        run_code.push(code);
-                    } else {
-                        *run_end.last_mut().expect("run exists") = si as u32 + 1;
-                    }
-                }
-            }
-            run_ptr.push(u32::try_from(run_end.len()).expect("run count fits u32"));
-        }
-
         Self {
             k_first,
             g,
@@ -281,11 +189,6 @@ impl FlattenedTile {
             seg_start,
             seg_end,
             seg_weight,
-            pow2,
-            seg_shift,
-            run_ptr,
-            run_end,
-            run_code,
         }
     }
 
@@ -302,29 +205,10 @@ impl FlattenedTile {
         self.seg_start.len()
     }
 
-    /// How many equal-shift-code runs the segment list collapses into
-    /// (zero for a tile whose alphabet is not `±2^k` — runs are only built
-    /// for the shift-add kernel). `segment_count / run_count` is the
-    /// average run length the shift kernel amortizes its hoisted shift
-    /// over; the plan-level kernel election uses it as the profitability
-    /// signal.
-    #[must_use]
-    pub fn run_count(&self) -> usize {
-        self.run_end.len()
-    }
-
     /// Whether the tile takes the fully branch-free gather (`pad == 0`).
     #[must_use]
     pub fn branch_free(&self) -> bool {
         self.all_in_bounds
-    }
-
-    /// Whether every segment weight is `±2^k`, so the tile qualifies for
-    /// the shift-add quantized kernel. Trivially `true` for a tile with no
-    /// segments.
-    #[must_use]
-    pub fn pow2_alphabet(&self) -> bool {
-        self.pow2
     }
 
     /// The shared strip kernel body: adds this tile's partial sums for `LW`
@@ -339,13 +223,10 @@ impl FlattenedTile {
     /// indirection walk feeds all `LW` lanes, and every inner loop is a
     /// contiguous `LW`-wide strip the compiler lifts to SIMD at whatever
     /// register width the enclosing `#[target_feature]` wrapper enables.
-    /// With `SHIFT`, phase 2 accumulates `±((hi − lo) << k)` instead of
-    /// `(hi − lo) · ±2^k` — identical in two's complement — using the
-    /// `seg_shift` codes precomputed at lowering time. The const generics
-    /// keep the lane arrays on the stack and the strips fully unrolled at
-    /// every monomorphized width.
+    /// The const generic keeps the lane arrays on the stack and the strips
+    /// fully unrolled at every monomorphized width.
     #[inline(always)]
-    fn accumulate_lanes_body<const LW: usize, const SHIFT: bool>(
+    fn accumulate_lanes_body<const LW: usize>(
         &self,
         input: &[i16],
         out: &mut [i32],
@@ -391,52 +272,17 @@ impl FlattenedTile {
                     }
                 }
                 // Phase 2: segment ranges resolved once; each segment is one
-                // broadcast multiply — or, on ±2^k alphabets, a bare add into
-                // a per-run accumulator with the shift and sign hoisted out
-                // of the segment loop (segments arrive sorted by shift code,
-                // so a level is a handful of equal-code runs).
+                // broadcast multiply.
                 for level in 0..self.g {
                     let mut acc = [0i32; LW];
-                    if SHIFT {
-                        let mut si = self.seg_ptr[level] as usize;
-                        let r0 = self.run_ptr[level] as usize;
-                        let r1 = self.run_ptr[level + 1] as usize;
-                        for ri in r0..r1 {
-                            let code = self.run_code[ri];
-                            let sh = u32::from(code.unsigned_abs() - 1);
-                            let end = self.run_end[ri] as usize;
-                            let mut racc = [0i32; LW];
-                            while si < end {
-                                let hi = &prefix[self.seg_end[si] as usize * LW..][..LW];
-                                let lo = &prefix[self.seg_start[si] as usize * LW..][..LW];
-                                for (a, (&h, &l)) in racc.iter_mut().zip(hi.iter().zip(lo)) {
-                                    *a += h - l;
-                                }
-                                si += 1;
-                            }
-                            // `(Σd) << k ≡ Σ(d << k)` mod 2^32, so shifting
-                            // the run sum once is bit-identical to shifting
-                            // every segment.
-                            if code > 0 {
-                                for (a, &r) in acc.iter_mut().zip(&racc) {
-                                    *a += r << sh;
-                                }
-                            } else {
-                                for (a, &r) in acc.iter_mut().zip(&racc) {
-                                    *a -= r << sh;
-                                }
-                            }
-                        }
-                    } else {
-                        let s0 = self.seg_ptr[level] as usize;
-                        let s1 = self.seg_ptr[level + 1] as usize;
-                        for si in s0..s1 {
-                            let hi = &prefix[self.seg_end[si] as usize * LW..][..LW];
-                            let lo = &prefix[self.seg_start[si] as usize * LW..][..LW];
-                            let weight = self.seg_weight[si];
-                            for (a, (&h, &l)) in acc.iter_mut().zip(hi.iter().zip(lo)) {
-                                *a += (h - l) * weight;
-                            }
+                    let s0 = self.seg_ptr[level] as usize;
+                    let s1 = self.seg_ptr[level + 1] as usize;
+                    for si in s0..s1 {
+                        let hi = &prefix[self.seg_end[si] as usize * LW..][..LW];
+                        let lo = &prefix[self.seg_start[si] as usize * LW..][..LW];
+                        let weight = self.seg_weight[si];
+                        for (a, (&h, &l)) in acc.iter_mut().zip(hi.iter().zip(lo)) {
+                            *a += (h - l) * weight;
                         }
                     }
                     let off = (((self.k_first + level) * out_w + x) * out_h + y) * LW;
@@ -458,33 +304,39 @@ impl FlattenedTile {
 /// These functions are `unsafe` purely by the `#[target_feature]` language
 /// rule; they have no other safety obligations. Callers must ensure the
 /// feature is present — [`accumulate_width`] only reaches them through a
-/// [`KernelSel`] clamped by [`SimdCaps`](crate::simd::SimdCaps) detection.
+/// [`SimdTier`] clamped by [`SimdCaps`](crate::simd::SimdCaps) detection.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod tier_kernels {
     use super::FlattenedTile;
     use ucnn_tensor::ConvGeom;
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_lanes_avx2<const LW: usize, const SHIFT: bool>(
+    pub(super) unsafe fn tile_lanes_avx2<const LW: usize>(
         tile: &FlattenedTile,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut Vec<i32>,
     ) {
-        tile.accumulate_lanes_body::<LW, SHIFT>(input, out, geom, prefix);
+        tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512 F, BW, DQ and VL.
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-    pub(super) unsafe fn tile_lanes_avx512<const LW: usize, const SHIFT: bool>(
+    pub(super) unsafe fn tile_lanes_avx512<const LW: usize>(
         tile: &FlattenedTile,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut Vec<i32>,
     ) {
-        tile.accumulate_lanes_body::<LW, SHIFT>(input, out, geom, prefix);
+        tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
     }
 }
 
@@ -496,26 +348,30 @@ mod tier_kernels {
     use super::FlattenedTile;
     use ucnn_tensor::ConvGeom;
 
+    /// # Safety
+    ///
+    /// The CPU must support NEON.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn tile_lanes_neon<const LW: usize, const SHIFT: bool>(
+    pub(super) unsafe fn tile_lanes_neon<const LW: usize>(
         tile: &FlattenedTile,
         input: &[i16],
         out: &mut [i32],
         geom: &ConvGeom,
         prefix: &mut Vec<i32>,
     ) {
-        tile.accumulate_lanes_body::<LW, SHIFT>(input, out, geom, prefix);
+        tile.accumulate_lanes_body::<LW>(input, out, geom, prefix);
     }
 }
 
 /// Runs one monomorphized strip width through the selected tier kernel.
 ///
 /// The `unsafe` blocks satisfy the `#[target_feature]` contract by
-/// construction: every [`KernelSel`] that reaches an executor has been
-/// clamped to the CPU's detected capabilities
-/// ([`KernelSel::clamped`]), so a gated kernel only runs when its feature
-/// was probed present. Foreign-architecture tiers fold into the scalar arm
-/// at compile time via the `cfg`s.
+/// construction: every tier that reaches an executor has been clamped to
+/// the CPU's detected capabilities ([`SimdCaps::clamp`]), so a gated kernel
+/// only runs when its feature was probed present. Foreign-architecture
+/// tiers fold into the scalar arm at compile time via the `cfg`s.
+///
+/// [`SimdCaps::clamp`]: crate::simd::SimdCaps::clamp
 #[allow(unsafe_code)]
 fn accumulate_width<const LW: usize>(
     tile: &FlattenedTile,
@@ -523,41 +379,28 @@ fn accumulate_width<const LW: usize>(
     out: &mut [i32],
     geom: &ConvGeom,
     prefix: &mut Vec<i32>,
-    sel: KernelSel,
+    tier: SimdTier,
 ) {
-    let shift = sel.shift_add && tile.pow2;
-    match sel.tier {
+    match tier {
+        // SAFETY: `tier` is clamped to the detected capabilities, so the
+        // CPU supports AVX2.
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe {
-            if shift {
-                tier_kernels::tile_lanes_avx2::<LW, true>(tile, input, out, geom, prefix);
-            } else {
-                tier_kernels::tile_lanes_avx2::<LW, false>(tile, input, out, geom, prefix);
-            }
+            tier_kernels::tile_lanes_avx2::<LW>(tile, input, out, geom, prefix);
         },
+        // SAFETY: `tier` is clamped to the detected capabilities, so the
+        // CPU supports AVX-512 F/BW/DQ/VL.
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx512 => unsafe {
-            if shift {
-                tier_kernels::tile_lanes_avx512::<LW, true>(tile, input, out, geom, prefix);
-            } else {
-                tier_kernels::tile_lanes_avx512::<LW, false>(tile, input, out, geom, prefix);
-            }
+            tier_kernels::tile_lanes_avx512::<LW>(tile, input, out, geom, prefix);
         },
+        // SAFETY: `tier` is clamped to the detected capabilities, so the
+        // CPU supports NEON.
         #[cfg(target_arch = "aarch64")]
         SimdTier::Neon => unsafe {
-            if shift {
-                tier_kernels::tile_lanes_neon::<LW, true>(tile, input, out, geom, prefix);
-            } else {
-                tier_kernels::tile_lanes_neon::<LW, false>(tile, input, out, geom, prefix);
-            }
+            tier_kernels::tile_lanes_neon::<LW>(tile, input, out, geom, prefix);
         },
-        _ => {
-            if shift {
-                tile.accumulate_lanes_body::<LW, true>(input, out, geom, prefix);
-            } else {
-                tile.accumulate_lanes_body::<LW, false>(input, out, geom, prefix);
-            }
-        }
+        _ => tile.accumulate_lanes_body::<LW>(input, out, geom, prefix),
     }
 }
 
@@ -571,19 +414,19 @@ fn accumulate_tile_lanes(
     geom: &ConvGeom,
     prefix: &mut Vec<i32>,
     lw: usize,
-    sel: KernelSel,
+    tier: SimdTier,
 ) {
     match lw {
-        1 => accumulate_width::<1>(tile, input, out, geom, prefix, sel),
-        2 => accumulate_width::<2>(tile, input, out, geom, prefix, sel),
-        3 => accumulate_width::<3>(tile, input, out, geom, prefix, sel),
-        4 => accumulate_width::<4>(tile, input, out, geom, prefix, sel),
-        5 => accumulate_width::<5>(tile, input, out, geom, prefix, sel),
-        6 => accumulate_width::<6>(tile, input, out, geom, prefix, sel),
-        7 => accumulate_width::<7>(tile, input, out, geom, prefix, sel),
-        8 => accumulate_width::<8>(tile, input, out, geom, prefix, sel),
-        16 => accumulate_width::<16>(tile, input, out, geom, prefix, sel),
-        32 => accumulate_width::<32>(tile, input, out, geom, prefix, sel),
+        1 => accumulate_width::<1>(tile, input, out, geom, prefix, tier),
+        2 => accumulate_width::<2>(tile, input, out, geom, prefix, tier),
+        3 => accumulate_width::<3>(tile, input, out, geom, prefix, tier),
+        4 => accumulate_width::<4>(tile, input, out, geom, prefix, tier),
+        5 => accumulate_width::<5>(tile, input, out, geom, prefix, tier),
+        6 => accumulate_width::<6>(tile, input, out, geom, prefix, tier),
+        7 => accumulate_width::<7>(tile, input, out, geom, prefix, tier),
+        8 => accumulate_width::<8>(tile, input, out, geom, prefix, tier),
+        16 => accumulate_width::<16>(tile, input, out, geom, prefix, tier),
+        32 => accumulate_width::<32>(tile, input, out, geom, prefix, tier),
         other => unreachable!("lane width {other} has no monomorphized kernel"),
     }
 }
@@ -620,9 +463,12 @@ pub(crate) fn chunk_count(batch: usize, lane_width: usize) -> usize {
     strips
 }
 
-/// Executes a [`CompiledLayer`] through its flattened tiles — bit-identical
-/// to [`run_compiled`](crate::exec::run_compiled()) with no per-entry
-/// decode or closure branching in the inner loops.
+/// Executes a [`CompiledLayer`] on one image through its flattened tiles —
+/// the width-1 strip, which is the planar layout itself. Bit-identical to
+/// [`run_compiled`](crate::exec::run_compiled()) with no per-entry decode
+/// or closure branching in the inner loops. The
+/// [`BackendKind::FlattenedBatch`](crate::backend::BackendKind) executor
+/// runs exactly this walk for a batch (or residual chunk) of one image.
 ///
 /// # Panics
 ///
@@ -645,89 +491,27 @@ pub(crate) fn chunk_count(batch: usize, lane_width: usize) -> usize {
 /// ```
 #[must_use]
 pub fn run_flattened(layer: &CompiledLayer, input: &Tensor3<i16>) -> Tensor3<i32> {
-    with_thread_scratch(|scratch| run_flattened_with(layer, input, scratch))
-}
-
-/// [`run_flattened`] with an explicit [`FlattenedScratch`] arena: the
-/// `prefix` scratch is borrowed from `scratch` instead of allocated per
-/// call, so a caller that owns an arena (e.g. a serving worker) runs the
-/// whole forward allocation-free after warm-up.
-///
-/// # Panics
-///
-/// Panics if `input` does not match the compiled layer's geometry.
-#[must_use]
-pub fn run_flattened_with(
-    layer: &CompiledLayer,
-    input: &Tensor3<i16>,
-    scratch: &mut FlattenedScratch,
-) -> Tensor3<i32> {
+    crate::exec::check_batch_inputs(layer, std::slice::from_ref(input));
     let geom = layer.geom();
-    assert_eq!(
-        input.c(),
-        geom.c() * layer.conv_groups(),
-        "input channel mismatch"
-    );
-    assert!(
-        input.w() == geom.in_w() && input.h() == geom.in_h(),
-        "input plane mismatch"
-    );
-
-    let sel = layer.kernel_sel();
+    let tier = layer.simd_tier();
     let mut out = Tensor3::<i32>::zeros(geom.k(), geom.out_w(), geom.out_h());
-    let out_slice = out.as_mut_slice();
-    let in_slice = input.as_slice();
-    for tile in layer.flat_tiles() {
-        // Width 1 *is* the planar layout; the tier/shift selection still
-        // applies (the quantized phase 2 pays off even single-image).
-        accumulate_width::<1>(tile, in_slice, out_slice, geom, &mut scratch.prefix, sel);
-    }
+    with_thread_scratch(|scratch| planar_walk(layer, input, &mut out, &mut scratch.prefix, tier));
     out
 }
 
-/// [`run_flattened`] over a batch, optionally parallelized across images
-/// with scoped threads.
-///
-/// Images are independent (each writes its own output tensor), so splitting
-/// the batch across threads cannot reorder any image's arithmetic: results
-/// are bit-identical at every thread count. `threads == 1` or a batch of
-/// `≤ 1` spawns nothing.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or any input mismatches the layer geometry.
-#[must_use]
-pub fn run_flattened_batch(
+/// Adds every flattened tile of `layer` into one image's planar output at
+/// strip width 1 (the planar layout needs no interleave transpose).
+fn planar_walk(
     layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    threads: usize,
-) -> Vec<Tensor3<i32>> {
-    assert!(threads > 0, "need at least one execution thread");
-    if threads == 1 || inputs.len() <= 1 {
-        return inputs.iter().map(|i| run_flattened(layer, i)).collect();
+    input: &Tensor3<i16>,
+    out: &mut Tensor3<i32>,
+    prefix: &mut Vec<i32>,
+    tier: SimdTier,
+) {
+    let (in_slice, out_slice) = (input.as_slice(), out.as_mut_slice());
+    for tile in layer.flat_tiles() {
+        accumulate_width::<1>(tile, in_slice, out_slice, layer.geom(), prefix, tier);
     }
-    let workers = threads.min(inputs.len());
-    let chunk = inputs.len().div_ceil(workers);
-    let mut outs: Vec<Option<Tensor3<i32>>> = (0..inputs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk)
-            .zip(outs.chunks_mut(chunk))
-            .map(|(ins, slots)| {
-                scope.spawn(move || {
-                    for (input, slot) in ins.iter().zip(slots) {
-                        *slot = Some(run_flattened(layer, input));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("flattened executor thread panicked");
-        }
-    });
-    outs.into_iter()
-        .map(|o| o.expect("every image was executed"))
-        .collect()
 }
 
 /// The scalar tier's interleave width — and the widest *residual* chunk the
@@ -744,12 +528,10 @@ pub const LANE_WIDTH: usize = 8;
 /// One arena serves any number of layers and chunk widths — buffers only
 /// ever grow, and [`FlattenedScratch::reserve_for`] pre-grows them to the
 /// dispatched kernel width so wider tiers never reallocate per chunk. The
-/// module keeps a thread-local arena that the plain entry points
-/// ([`run_flattened`], [`run_flattened_batch_interleaved`]) borrow, so each
-/// serving worker thread reuses its own arena across requests; the `*_with`
-/// variants take one explicitly.
+/// module keeps a thread-local arena that the single-threaded paths borrow,
+/// so each serving worker thread reuses its own arena across requests.
 #[derive(Debug, Default)]
-pub struct FlattenedScratch {
+struct FlattenedScratch {
     /// Batch-interleaved activations: `interleaved[off · LW + lane]`.
     interleaved: Vec<i16>,
     /// Prefix-sum lanes: `(n + 1) · LW` values, row `i` = prefix after
@@ -768,18 +550,12 @@ fn grow_capacity<T>(v: &mut Vec<T>, cap: usize) {
 }
 
 impl FlattenedScratch {
-    /// Creates an empty arena (buffers grow on first use).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Pre-grows every buffer for running `layer` at interleave width
     /// `lane_width`, so no subsequent chunk of that width (or narrower)
-    /// reallocates. Called by the batch executors with the dispatched
+    /// reallocates. Called by the batch executor with the dispatched
     /// tier's width; idempotent and monotone — an arena reserved for a wide
     /// layer serves narrower ones for free.
-    pub fn reserve_for(&mut self, layer: &CompiledLayer, lane_width: usize) {
+    fn reserve_for(&mut self, layer: &CompiledLayer, lane_width: usize) {
         let geom = layer.geom();
         let in_len = geom.c() * layer.conv_groups() * geom.in_w() * geom.in_h();
         let out_len = geom.k() * geom.out_w() * geom.out_h();
@@ -796,9 +572,9 @@ impl FlattenedScratch {
 }
 
 thread_local! {
-    /// Per-thread arena behind the plain entry points: serving workers are
-    /// threads, so this is a per-worker arena without any API plumbing.
-    static THREAD_SCRATCH: RefCell<FlattenedScratch> = RefCell::new(FlattenedScratch::new());
+    /// Per-thread arena behind the single-threaded paths: serving workers
+    /// are threads, so this is a per-worker arena without any API plumbing.
+    static THREAD_SCRATCH: RefCell<FlattenedScratch> = RefCell::new(FlattenedScratch::default());
 }
 
 /// Runs `f` with the calling thread's [`FlattenedScratch`] arena.
@@ -857,7 +633,7 @@ fn run_chunk(
     inputs: &[Tensor3<i16>],
     outs: &mut [Tensor3<i32>],
     scratch: &mut FlattenedScratch,
-    sel: KernelSel,
+    tier: SimdTier,
 ) {
     let geom = layer.geom();
     let lw = inputs.len();
@@ -867,11 +643,7 @@ fn run_chunk(
         // A single lane gains nothing from interleaving (the transpose is
         // pure overhead); the width-1 kernel is the planar walk, written
         // straight into the already zeroed output.
-        let out_slice = outs[0].as_mut_slice();
-        let in_slice = inputs[0].as_slice();
-        for tile in layer.flat_tiles() {
-            accumulate_width::<1>(tile, in_slice, out_slice, geom, &mut scratch.prefix, sel);
-        }
+        planar_walk(layer, &inputs[0], &mut outs[0], &mut scratch.prefix, tier);
         return;
     }
     let images: Vec<&[i16]> = inputs.iter().map(Tensor3::as_slice).collect();
@@ -887,7 +659,7 @@ fn run_chunk(
             geom,
             &mut scratch.prefix,
             lw,
-            sel,
+            tier,
         );
     }
     let mut planes: Vec<&mut [i32]> = outs.iter_mut().map(Tensor3::as_mut_slice).collect();
@@ -900,17 +672,18 @@ fn run_chunk(
 ///
 /// The batch is processed in chunks as wide as the dispatched tier's
 /// interleave width (8 scalar, 16 AVX2, 32 AVX-512 — the plan's cached
-/// [`KernelSel`]). Each chunk is transposed once into the batch-interleaved
-/// layout, every gather base / halo bounds check / CSR segment range is
-/// computed once per entry per output position, and the prefix-sum and
-/// segment-multiply phases run as contiguous `LW`-wide strips through the
-/// tier's `#[target_feature]` kernel. Per image the i32 operation sequence
-/// is identical to [`run_flattened`] at every width and tier, so outputs
-/// are **bit-identical** to it at every batch size and thread count.
+/// [`CompiledLayer::simd_tier`]). Each chunk is transposed once into the
+/// batch-interleaved layout, every gather base / halo bounds check / CSR
+/// segment range is computed once per entry per output position, and the
+/// prefix-sum and segment-multiply phases run as contiguous `LW`-wide
+/// strips through the tier's `#[target_feature]` kernel. Per image the i32
+/// operation sequence is identical to [`run_flattened`] at every width and
+/// tier, so outputs are **bit-identical** to it at every batch size and
+/// thread count.
 ///
 /// `threads > 1` splits the batch into contiguous runs of **whole
 /// tier-width chunks** executed on scoped threads, each with its own
-/// [`FlattenedScratch`] — never below the active lane width per worker, so
+/// scratch arena — never below the active lane width per worker, so
 /// adding threads cannot narrow the SIMD width (a batch of 32 on the
 /// `avx512` tier runs as one full-width chunk regardless of the thread
 /// budget). With one thread (or a single chunk) the calling thread's arena
@@ -945,15 +718,14 @@ pub fn run_flattened_batch_interleaved(
     inputs: &[Tensor3<i16>],
     threads: usize,
 ) -> Vec<Tensor3<i32>> {
-    run_flattened_batch_interleaved_forced(layer, inputs, threads, layer.kernel_sel())
+    run_flattened_batch_interleaved_forced(layer, inputs, threads, layer.simd_tier())
 }
 
-/// [`run_flattened_batch_interleaved`] with an explicit [`KernelSel`]
-/// instead of the plan's cached one — the entry point for tier-probing
-/// (`auto` calibration runs every available tier as a distinct candidate),
-/// per-tier conformance tests, and A/B benches. The selection is clamped to
-/// the CPU's detected capabilities, so forcing an unavailable tier runs the
-/// best supported one instead of faulting.
+/// [`run_flattened_batch_interleaved`] on an explicit [`SimdTier`] instead
+/// of the plan's cached one — the entry point for per-tier conformance
+/// tests and the pinned-tier bench rows. The tier is clamped to the CPU's
+/// detected capabilities, so forcing an unavailable tier runs the best
+/// supported one instead of faulting.
 ///
 /// # Panics
 ///
@@ -963,23 +735,21 @@ pub fn run_flattened_batch_interleaved_forced(
     layer: &CompiledLayer,
     inputs: &[Tensor3<i16>],
     threads: usize,
-    sel: KernelSel,
+    tier: SimdTier,
 ) -> Vec<Tensor3<i32>> {
     assert!(threads > 0, "need at least one execution thread");
     if inputs.is_empty() {
         return Vec::new();
     }
-    let sel = sel.clamped();
+    let tier = SimdCaps::get().clamp(tier);
     // Work is dealt in whole tier-width chunks: splitting finer would
     // narrow the SIMD width of every worker's kernel, costing more than
     // the extra thread buys.
-    let lane = sel.tier.lane_width();
+    let lane = tier.lane_width();
     let chunks = inputs.len().div_ceil(lane);
     let workers = threads.min(chunks);
     if workers == 1 {
-        return with_thread_scratch(|scratch| {
-            run_flattened_batch_interleaved_with_sel(layer, inputs, scratch, sel)
-        });
+        return with_thread_scratch(|scratch| run_interleaved_with(layer, inputs, scratch, tier));
     }
     let chunk = chunks.div_ceil(workers) * lane;
     let mut results: Vec<Vec<Tensor3<i32>>> = Vec::with_capacity(workers);
@@ -988,8 +758,8 @@ pub fn run_flattened_batch_interleaved_forced(
             .chunks(chunk)
             .map(|ins| {
                 scope.spawn(move || {
-                    let mut scratch = FlattenedScratch::new();
-                    run_flattened_batch_interleaved_with_sel(layer, ins, &mut scratch, sel)
+                    let mut scratch = FlattenedScratch::default();
+                    run_interleaved_with(layer, ins, &mut scratch, tier)
                 })
             })
             .collect();
@@ -1000,43 +770,22 @@ pub fn run_flattened_batch_interleaved_forced(
     results.into_iter().flatten().collect()
 }
 
-/// [`run_flattened_batch_interleaved`] on the calling thread with an
-/// explicit [`FlattenedScratch`] arena (no allocation once the arena has
-/// grown to the layer's working-set size at the dispatched width).
-///
-/// # Panics
-///
-/// Panics if any input mismatches the layer geometry.
-#[must_use]
-pub fn run_flattened_batch_interleaved_with(
+/// [`run_flattened_batch_interleaved_forced`] on the calling thread with
+/// an explicit scratch arena and an already clamped `tier` (no allocation
+/// once the arena has grown to the layer's working-set size at that
+/// tier's width).
+fn run_interleaved_with(
     layer: &CompiledLayer,
     inputs: &[Tensor3<i16>],
     scratch: &mut FlattenedScratch,
-) -> Vec<Tensor3<i32>> {
-    run_flattened_batch_interleaved_with_sel(layer, inputs, scratch, layer.kernel_sel())
-}
-
-/// [`run_flattened_batch_interleaved_with`] with an explicit [`KernelSel`]
-/// (clamped to the CPU like
-/// [`run_flattened_batch_interleaved_forced`]).
-///
-/// # Panics
-///
-/// Panics if any input mismatches the layer geometry.
-#[must_use]
-pub fn run_flattened_batch_interleaved_with_sel(
-    layer: &CompiledLayer,
-    inputs: &[Tensor3<i16>],
-    scratch: &mut FlattenedScratch,
-    sel: KernelSel,
+    tier: SimdTier,
 ) -> Vec<Tensor3<i32>> {
     let geom = layer.geom();
     crate::exec::check_batch_inputs(layer, inputs);
-    let sel = sel.clamped();
-    let lane = sel.tier.lane_width();
-    // Satellite of the tier dispatch: size the arena for the widest chunk
-    // this call will run, so the per-chunk loop never reallocates even the
-    // first time a wide tier executes.
+    let lane = tier.lane_width();
+    // Size the arena for the widest chunk this call will run, so the
+    // per-chunk loop never reallocates even the first time a wide tier
+    // executes.
     scratch.reserve_for(layer, lane.min(inputs.len().max(1)));
     let mut outs: Vec<Tensor3<i32>> = inputs
         .iter()
@@ -1050,7 +799,7 @@ pub fn run_flattened_batch_interleaved_with_sel(
             &inputs[start..start + w],
             &mut outs[start..start + w],
             scratch,
-            sel,
+            tier,
         );
         start += w;
     }
@@ -1080,14 +829,6 @@ mod tests {
         let expected = reference::conv2d(&geom, conv_groups, &input, &weights);
         assert_eq!(run_compiled(&layer, &input), expected, "run_compiled");
         assert_eq!(run_flattened(&layer, &input), expected, "run_flattened");
-        let inputs = vec![input; 3];
-        for threads in [1, 2, 5] {
-            let got = run_flattened_batch(&layer, &inputs, threads);
-            assert_eq!(got.len(), 3);
-            for out in got {
-                assert_eq!(out, expected, "batch, {threads} threads");
-            }
-        }
         // The batch-interleaved executor must agree at every chunk width:
         // distinct images per lane so a lane mix-up cannot cancel out.
         let mut agen = ActivationGen::new(seed ^ 0x1A9E5);
@@ -1219,7 +960,7 @@ mod tests {
     fn explicit_scratch_arena_is_reusable_across_layers_and_widths() {
         // One arena across different layers, chunk widths, and both gather
         // paths: buffers only grow, results stay exact.
-        let mut scratch = FlattenedScratch::new();
+        let mut scratch = FlattenedScratch::default();
         let geoms = [
             ConvGeom::new(1, 1, 32, 6, 1, 1),
             ConvGeom::new(6, 5, 4, 3, 3, 3).with_pad(1),
@@ -1236,7 +977,7 @@ mod tests {
                 let expected: Vec<Tensor3<i32>> =
                     inputs.iter().map(|i| run_flattened(&layer, i)).collect();
                 assert_eq!(
-                    run_flattened_batch_interleaved_with(&layer, &inputs, &mut scratch),
+                    run_interleaved_with(&layer, &inputs, &mut scratch, layer.simd_tier()),
                     expected,
                     "layer {gi}, B={b}"
                 );
@@ -1265,7 +1006,7 @@ mod tests {
                 CompiledLayer::compile(geom, 1, &weights, &UcnnConfig::with_g(2))
             })
             .collect();
-        let mut scratch = FlattenedScratch::new();
+        let mut scratch = FlattenedScratch::default();
         for layer in &layers {
             scratch.reserve_for(layer, widest);
         }
@@ -1291,9 +1032,7 @@ mod tests {
                         .collect();
                     let expected: Vec<Tensor3<i32>> =
                         inputs.iter().map(|i| run_flattened(layer, i)).collect();
-                    let sel = layer.kernel_sel().with_tier(tier);
-                    let got =
-                        run_flattened_batch_interleaved_with_sel(layer, &inputs, &mut scratch, sel);
+                    let got = run_interleaved_with(layer, &inputs, &mut scratch, tier);
                     assert_eq!(got, expected, "round {round}, tier {}", tier.name());
                 }
             }
@@ -1319,11 +1058,11 @@ mod tests {
     }
 
     #[test]
-    fn every_available_tier_and_shift_mode_is_bit_identical() {
+    fn every_available_tier_is_bit_identical() {
         // Cheap in-process tier sweep: full-width + residual batches per
-        // tier, threaded and not, forced shift on and off, against the
-        // planar per-image walk. The conformance corpus repeats this
-        // against golden vectors; this is the fast in-module guard.
+        // tier, threaded and not, against the planar per-image walk. The
+        // conformance corpus repeats this against golden vectors; this is
+        // the fast in-module guard.
         let geoms = [
             ConvGeom::new(1, 1, 64, 8, 1, 1),
             ConvGeom::new(4, 4, 3, 4, 3, 3).with_pad(1),
@@ -1341,61 +1080,17 @@ mod tests {
                         .collect();
                     let expected: Vec<Tensor3<i32>> =
                         inputs.iter().map(|i| run_flattened(&layer, i)).collect();
-                    for shift_add in [false, true] {
-                        let sel = KernelSel { tier, shift_add };
-                        for threads in [1usize, 3] {
-                            assert_eq!(
-                                run_flattened_batch_interleaved_forced(
-                                    &layer, &inputs, threads, sel
-                                ),
-                                expected,
-                                "tier {}, shift {shift_add}, B={b}, {threads} threads",
-                                tier.name()
-                            );
-                        }
+                    for threads in [1usize, 3] {
+                        assert_eq!(
+                            run_flattened_batch_interleaved_forced(&layer, &inputs, threads, tier),
+                            expected,
+                            "tier {}, B={b}, {threads} threads",
+                            tier.name()
+                        );
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn pow2_alphabet_classification_follows_the_weights() {
-        // INQ (±2^e) and TTQ (±64) always classify pow2; any non-power
-        // weight disqualifies the tile.
-        let geom = ConvGeom::new(1, 1, 16, 4, 1, 1);
-        for scheme in [QuantScheme::inq(), QuantScheme::ttq()] {
-            let mut wgen = WeightGen::new(scheme, 7).with_density(0.9);
-            let weights = wgen.generate_dims(4, 16, 1, 1);
-            let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::with_g(2));
-            assert!(
-                layer.flat_tiles().iter().all(FlattenedTile::pow2_alphabet),
-                "pow2 scheme must classify pow2"
-            );
-        }
-        let weights = Tensor4::from_fn(4, 16, 1, 1, |k, c, _, _| ((k + c) % 5) as i16 - 2);
-        // Contains ±1 and ±2 (pow2) but also… only those, actually — force
-        // a 3 into the alphabet explicitly.
-        let mut w = weights;
-        w[(0, 0, 0, 0)] = 3;
-        let layer = CompiledLayer::compile(&geom, 1, &w, &UcnnConfig::with_g(2));
-        assert!(
-            layer.flat_tiles().iter().any(|t| !t.pow2_alphabet()),
-            "a weight of 3 must disqualify its tile"
-        );
-    }
-
-    #[test]
-    fn shift_codes_cover_the_signed_pow2_range() {
-        assert_eq!(shift_code(1), Some(1));
-        assert_eq!(shift_code(-1), Some(-1));
-        assert_eq!(shift_code(2), Some(2));
-        assert_eq!(shift_code(-128), Some(-8));
-        assert_eq!(shift_code(1 << 14), Some(15));
-        assert_eq!(shift_code(0), None);
-        assert_eq!(shift_code(3), None);
-        assert_eq!(shift_code(-6), None);
-        assert_eq!(shift_code(96), None);
     }
 
     #[test]
@@ -1417,7 +1112,6 @@ mod tests {
         let tile = FlattenedTile::lower(&stream, 0, 0, &geom);
         assert_eq!(tile.entry_count(), 0);
         assert_eq!(tile.segment_count(), 0);
-        assert!(tile.pow2_alphabet(), "no segments ⇒ trivially pow2");
     }
 
     #[test]
@@ -1470,6 +1164,6 @@ mod tests {
         let geom = ConvGeom::new(4, 4, 2, 2, 3, 3);
         let weights = Tensor4::from_fn(2, 2, 3, 3, |_, _, _, _| 1i16);
         let layer = CompiledLayer::compile(&geom, 1, &weights, &UcnnConfig::default());
-        let _ = run_flattened_batch(&layer, &[], 0);
+        let _ = run_flattened_batch_interleaved(&layer, &[], 0);
     }
 }

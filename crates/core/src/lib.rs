@@ -38,29 +38,22 @@
 //!   work is paid once per model and the hot path only walks streams
 //!   ([`exec::run_compiled`]).
 //! * [`backend`](mod@backend) — pluggable executor backends: one [`Backend`] trait over
-//!   six interchangeable, bit-identical inner-loop shapes plus the
-//!   cost-model dispatcher [`BackendKind::Auto`], selected by
+//!   two interchangeable, bit-identical inner-loop shapes (the
+//!   batch-major stream walk and the flattened SIMD walk), selected by
 //!   [`BackendKind`] end to end from the serving engine down.
-//! * [`tune`] — the cost model behind [`BackendKind::Auto`]: a
-//!   [`CalibrationTable`] of per-(layer shape × batch bucket) latency
-//!   estimates, filled by micro-probe ([`tune::calibrate_network`], the
-//!   `repro tune` subcommand) and re-tuned online from the execute path's
-//!   EWMA feedback behind a hysteresis election.
 //! * [`counters`] — the per-layer reuse-telemetry sink: an opt-in,
 //!   thread-sharded [`LayerWork`] tally (multiplies issued vs
 //!   dense-equivalent, gather entries, CSR segments, lowering-cache hits)
 //!   every backend reports into per `run_layer` call.
-//! * [`flatten`] — the compile-time lowering behind
-//!   [`BackendKind::Flattened`] (branch-free gather offsets and CSR-style
-//!   activation-group ranges) and the batch-interleaved SIMD executor
-//!   behind [`BackendKind::FlattenedBatch`] (one indirection walk feeding
-//!   a strip of contiguous image lanes as wide as the dispatched ISA tier
-//!   allows, with per-worker [`FlattenedScratch`] arenas).
-//! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and per-plan kernel
-//!   selection ([`KernelSel`]): which `#[target_feature]` tier the strip
+//! * [`flatten`] — the compile-time lowering (branch-free gather offsets
+//!   and CSR-style activation-group ranges) and the batch-interleaved SIMD
+//!   executor behind [`BackendKind::FlattenedBatch`] (one indirection walk
+//!   feeding a strip of contiguous image lanes as wide as the dispatched
+//!   ISA tier allows, with per-worker scratch arenas).
+//! * [`simd`] — runtime ISA detection ([`SimdCaps`]) and per-plan tier
+//!   selection ([`SimdTier`]): which `#[target_feature]` tier the strip
 //!   kernels dispatch to (scalar / AVX2 / AVX-512 / NEON, clamped to the
-//!   CPU), at what interleave width, and whether a power-of-two weight
-//!   alphabet lets phase 2 run shift-add instead of broadcast multiplies.
+//!   CPU), and so at what interleave width.
 //! * [`partial_product`] — the paper's third (unexploited) reuse form,
 //!   partial-product memoization across filters (§III-C), provided as an
 //!   extension for ablation.
@@ -97,14 +90,12 @@ pub mod hierarchy;
 pub mod partial_product;
 pub mod plan;
 pub mod simd;
-pub mod tune;
 
 pub use backend::{all_backends, backend, Backend, BackendKind};
 pub use compile::{LayerPlan, TileStats, UcnnConfig};
 pub use counters::{LayerWork, TallyRow};
 pub use factorize::{ActivationGroup, FilterFactorization};
-pub use flatten::{FlattenedScratch, FlattenedTile};
+pub use flatten::FlattenedTile;
 pub use hierarchy::{GroupStream, StreamEntry};
 pub use plan::{CompiledLayer, CompiledNetwork, CompiledStage, CompiledTile};
-pub use simd::{KernelSel, SimdCaps, SimdTier};
-pub use tune::{CalRow, CalibrationTable, Candidate, TuneOptions};
+pub use simd::{SimdCaps, SimdTier};

@@ -19,8 +19,7 @@
 //! [`CompiledNetwork::forward`] and stays bit-identical to the dense
 //! reference.
 
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::OnceLock;
 
 use ucnn_model::{reference, LayerKind, NetworkSpec, PoolKind};
 use ucnn_tensor::{ConvGeom, Tensor3, Tensor4};
@@ -29,8 +28,7 @@ use crate::backend::{backend, BackendKind};
 use crate::compile::{canonical_of_tensor, UcnnConfig};
 use crate::flatten::FlattenedTile;
 use crate::hierarchy::{GroupStream, ZERO_RANK};
-use crate::simd::KernelSel;
-use crate::tune::{self, CalibrationTable, Candidate};
+use crate::simd::SimdTier;
 
 /// One retained work unit of a compiled layer: the stream for a group of
 /// `≤ G` filters over one channel tile, plus where it lands in the layer.
@@ -93,24 +91,18 @@ pub struct CompiledLayer {
     conv_groups: usize,
     tiles: Vec<CompiledTile>,
     /// Branch-free lowering of every tile (one per entry of `tiles`), built
-    /// lazily on the first [`BackendKind::Flattened`] execution and cached —
-    /// deployments that never select that backend pay neither the lowering
-    /// work nor the extra resident memory.
+    /// lazily on the first [`BackendKind::FlattenedBatch`] execution and
+    /// cached — deployments that never select that backend pay neither the
+    /// lowering work nor the extra resident memory.
     flat: OnceLock<Vec<FlattenedTile>>,
-    /// Cached calibration shape key ([`crate::tune::shape_key`]), formatted
-    /// on first use — the `auto` dispatch path borrows it per batch.
-    tune_key: OnceLock<String>,
-    /// Cached SIMD kernel selection ([`KernelSel`]): the dispatched ISA
-    /// tier and whether the plan's weight alphabet admits the shift-add
-    /// phase-2 kernel. Resolved on first flattened execution (it needs the
-    /// flattened lowering for alphabet classification) and cached exactly
-    /// like `flat`.
-    simd: OnceLock<KernelSel>,
+    /// Cached SIMD tier the flattened strip kernels dispatch to, resolved
+    /// on first flattened execution and cached exactly like `flat`.
+    simd: OnceLock<SimdTier>,
 }
 
-/// `flat`, `tune_key` and `simd` are derived from the other fields (plus
-/// process environment for `simd`), so equality ignores them (and
-/// `OnceLock` has no `PartialEq` anyway).
+/// `flat` and `simd` are derived from the other fields (plus process
+/// environment for `simd`), so equality ignores them (and `OnceLock` has
+/// no `PartialEq` anyway).
 impl PartialEq for CompiledLayer {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
@@ -186,7 +178,6 @@ impl CompiledLayer {
             conv_groups,
             tiles,
             flat: OnceLock::new(),
-            tune_key: OnceLock::new(),
             simd: OnceLock::new(),
         }
     }
@@ -207,14 +198,6 @@ impl CompiledLayer {
     #[must_use]
     pub fn conv_groups(&self) -> usize {
         self.conv_groups
-    }
-
-    /// The layer's calibration shape key
-    /// ([`shape_key`](crate::tune::shape_key)), formatted once and cached.
-    #[must_use]
-    pub fn tune_key(&self) -> &str {
-        self.tune_key
-            .get_or_init(|| crate::tune::compute_shape_key(self))
     }
 
     /// The retained work units, in execution order.
@@ -246,27 +229,16 @@ impl CompiledLayer {
         self.flat.get().is_some()
     }
 
-    /// The plan's cached SIMD kernel selection: the ISA tier the flattened
-    /// strip kernels dispatch to (widest available, or the `UCNN_SIMD`
-    /// override clamped to the CPU) and whether phase 2 runs shift-add —
-    /// eligible when every tile's segment alphabet is `±2^k`, elected by
-    /// default only when the average equal-code run spans at least
-    /// [`ucnn_simd::SHIFT_MIN_AVG_RUN`](crate::simd::SHIFT_MIN_AVG_RUN)
-    /// segments (shorter runs pay the per-run bookkeeping without
-    /// amortizing the hoisted shift, and the broadcast multiply wins).
-    /// Resolved once — the env knobs are read at that moment, like the
-    /// lowering this rides on — then a plain load.
+    /// The plan's cached SIMD tier: the ISA tier the flattened strip
+    /// kernels dispatch to — the widest available, or the `UCNN_SIMD`
+    /// override clamped to the CPU ([`resolve_tier`]). Resolved once — the
+    /// env knob is read at that moment, like the lowering this rides on —
+    /// then a plain load.
+    ///
+    /// [`resolve_tier`]: crate::simd::resolve_tier
     #[must_use]
-    pub fn kernel_sel(&self) -> KernelSel {
-        *self.simd.get_or_init(|| {
-            let tiles = self.flat_tiles();
-            let pow2 = tiles.iter().all(FlattenedTile::pow2_alphabet);
-            let (segs, runs) = tiles.iter().fold((0usize, 0usize), |(s, r), t| {
-                (s + t.segment_count(), r + t.run_count())
-            });
-            let profitable = runs > 0 && segs >= crate::simd::SHIFT_MIN_AVG_RUN * runs;
-            KernelSel::resolve(pow2, profitable)
-        })
+    pub fn simd_tier(&self) -> SimdTier {
+        *self.simd.get_or_init(crate::simd::resolve_tier)
     }
 
     /// Rebuilds the dense weight tensor the layer was compiled from, out of
@@ -275,9 +247,9 @@ impl CompiledLayer {
     /// through the canonical order — so the reconstruction is exact.
     ///
     /// Plans deliberately do **not** retain the weights (serving memory is
-    /// streams only); the [`BackendKind::Factorized`] baseline backend
-    /// reconstructs them per call, which is consistent with its role as the
-    /// pay-everything-per-call baseline.
+    /// streams only), so this is how a caller recovers them — e.g. to
+    /// re-run the per-call [`factorized_conv`](crate::exec::factorized_conv)
+    /// baseline from a plan.
     #[must_use]
     pub fn reconstruct_filters(&self) -> Tensor4<i16> {
         let rs = self.geom.r() * self.geom.s();
@@ -352,33 +324,15 @@ pub enum CompiledStage {
 /// [`CompiledNetwork::forward`] follows the wiring rule of
 /// [`ucnn_model::forward::dense_forward`] (ReLU between weight layers, raw
 /// `i32` logits from the final layer) and is bit-identical to it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompiledNetwork {
     name: String,
     stages: Vec<CompiledStage>,
     input_dims: (usize, usize, usize),
     /// Explicit executor preference set via [`CompiledNetwork::set_backend`]
     /// / [`CompiledNetwork::with_backend`]; `None` until one is chosen, so
-    /// callers (the serving engine) can tell "tuned" from "default".
+    /// callers (the serving engine) can tell "chosen" from "default".
     backend: Option<BackendKind>,
-    /// Cost model consulted when executing with [`BackendKind::Auto`]:
-    /// per-(layer shape × batch bucket) latency estimates and elected
-    /// winners. Shared (`Arc`) so clones of the plan — and every serving
-    /// worker — observe into and dispatch from the same live table.
-    calibration: Option<Arc<CalibrationTable>>,
-}
-
-/// Plan equality is over the compiled artifact (name, stages, input dims,
-/// backend preference). The attached calibration is *runtime* tuning state
-/// — live atomics updated by the execute path — and is excluded, exactly
-/// as [`CompiledLayer`]'s equality excludes its lazily derived lowering.
-impl PartialEq for CompiledNetwork {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.stages == other.stages
-            && self.input_dims == other.input_dims
-            && self.backend == other.backend
-    }
 }
 
 impl CompiledNetwork {
@@ -443,7 +397,6 @@ impl CompiledNetwork {
             stages,
             input_dims,
             backend: None,
-            calibration: None,
         }
     }
 
@@ -488,35 +441,6 @@ impl CompiledNetwork {
     /// backend is bit-identical, so this only changes performance.
     pub fn set_backend(&mut self, kind: BackendKind) {
         self.backend = Some(kind);
-    }
-
-    /// Builder-style variant of [`CompiledNetwork::set_calibration`].
-    #[must_use]
-    pub fn with_calibration(mut self, table: Arc<CalibrationTable>) -> Self {
-        self.calibration = Some(table);
-        self
-    }
-
-    /// Attaches the cost model [`BackendKind::Auto`] dispatches through:
-    /// per-(layer shape × batch bucket) estimates produced by
-    /// [`tune::calibrate_network`] (the `repro tune` probe) or rebuilt from
-    /// a checked-in `BENCH_tune.json` via
-    /// [`CalibrationTable::from_rows`](crate::tune::CalibrationTable::from_rows).
-    ///
-    /// Once attached, every `auto` execution also feeds its measured
-    /// per-image latency back into the table
-    /// ([`CalibrationTable::observe`](crate::tune::CalibrationTable::observe)),
-    /// so the elected winners keep tracking real traffic. Without a table,
-    /// `auto` uses the fixed heuristic
-    /// [`tune::fallback_choice`] and performs no timing.
-    pub fn set_calibration(&mut self, table: Arc<CalibrationTable>) {
-        self.calibration = Some(table);
-    }
-
-    /// The attached calibration table, if any.
-    #[must_use]
-    pub fn calibration(&self) -> Option<&Arc<CalibrationTable>> {
-        self.calibration.as_ref()
     }
 
     /// The compiled stages, in execution order.
@@ -596,8 +520,7 @@ impl CompiledNetwork {
     }
 
     /// [`CompiledNetwork::forward_batch`] with the convolution stages
-    /// allowed `threads` scoped worker threads (exploited by backends that
-    /// parallelize, e.g. [`BackendKind::BatchThreads`]).
+    /// allowed `threads` scoped worker threads.
     ///
     /// Results are bit-identical at every thread count; `threads == 1`
     /// spawns nothing.
@@ -642,13 +565,7 @@ impl CompiledNetwork {
         if inputs.is_empty() {
             return Vec::new();
         }
-        // `auto` resolves its delegate per conv stage (below); the observe
-        // flag turns on the per-layer timing that feeds the table's online
-        // EWMA re-tune — only when there is a table to feed.
-        let auto_table: Option<&CalibrationTable> = match kind {
-            BackendKind::Auto => self.calibration.as_deref(),
-            _ => None,
-        };
+        let exec = backend(kind);
         let last = self.stages.len() - 1;
         let mut acts: Vec<Tensor3<i16>> = inputs.to_vec();
         for (si, stage) in self.stages.iter().enumerate() {
@@ -660,46 +577,14 @@ impl CompiledNetwork {
                             .map(|a| ucnn_model::forward::flatten_for_fc(a, layer.geom().c()))
                             .collect();
                     }
-                    // `auto` elects a *candidate*: a backend kind, plus —
-                    // for the flattened-batch kind — optionally a forced
-                    // SIMD tier, so the calibration table can pick the
-                    // fastest ISA path per shape × bucket, not just the
-                    // fastest loop shape.
-                    let cand = match kind {
-                        BackendKind::Auto => auto_table
-                            .and_then(|t| t.candidate_for(layer, acts.len()))
-                            .unwrap_or_else(|| Candidate::plain(tune::fallback_choice(acts.len()))),
-                        k => Candidate::plain(k),
-                    };
-                    let exec = backend(cand.kind);
                     // Reuse telemetry: one gated load on the hot path; when
                     // enabled, the analytic per-call work is recorded after
                     // execution (so the flattened lowering, if this call
                     // built it, is available to account CSR segments) with
-                    // the lowering-cache state captured before. Work is
-                    // labeled with the *requested* kind, so `auto` rows
-                    // tally under `auto` whichever delegate ran.
+                    // the lowering-cache state captured before.
                     let counting = crate::counters::enabled();
                     let lowering_was_ready = counting && layer.flat_ready();
-                    let started = auto_table.map(|_| Instant::now());
-                    let outs = match cand.tier {
-                        // A tier-qualified candidate bypasses the registry
-                        // and forces the flattened-batch executor onto that
-                        // tier (every candidate stays bit-identical, so the
-                        // election only changes performance).
-                        Some(tier) => crate::flatten::run_flattened_batch_interleaved_forced(
-                            layer,
-                            &acts,
-                            threads,
-                            layer.kernel_sel().with_tier(tier),
-                        ),
-                        None => exec.run_layer(layer, &acts, threads),
-                    };
-                    if let (Some(t0), Some(table)) = (started, auto_table) {
-                        let per_image = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                            / acts.len() as u64;
-                        table.observe_candidate(layer, acts.len(), cand, per_image);
-                    }
+                    let outs = exec.run_layer(layer, &acts, threads);
                     if counting {
                         crate::counters::record(
                             &self.name,
@@ -896,7 +781,7 @@ mod tests {
         assert!(!flat_ready(&compiled));
         compiled.warm(BackendKind::FlattenedBatch);
         assert!(flat_ready(&compiled), "warm must force the lowering");
-        compiled.warm(BackendKind::Flattened); // idempotent
+        compiled.warm(BackendKind::FlattenedBatch); // idempotent
         assert!(flat_ready(&compiled));
     }
 

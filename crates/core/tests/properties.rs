@@ -219,13 +219,13 @@ proptest! {
         }
     }
 
-    /// The i8 quantized shift-add kernel is bit-identical to the i16
-    /// broadcast-multiply kernel on power-of-two and ternary weight
-    /// alphabets — `x·(±2^k) == ±(x << k)` exactly in two's complement —
-    /// for every ISA tier this machine can execute, at batch sizes that
-    /// cover full-width strips and residuals of every lane width.
+    /// The flattened-batch executor is bit-identical to the dense
+    /// reference on power-of-two and ternary weight alphabets (the INQ and
+    /// TTQ shapes the serving zoo uses) for every ISA tier this machine can
+    /// execute, at batch sizes that cover full-width strips and residuals
+    /// of every lane width.
     #[test]
-    fn shift_add_matches_multiply_on_pow2_alphabets(
+    fn every_tier_bit_identical_to_reference_on_pow2_alphabets(
         seed in any::<u64>(),
         g in 1usize..=3,
         ct in 1usize..=5,
@@ -235,8 +235,8 @@ proptest! {
         b_sel in 0usize..4,
         threads in 1usize..=3,
     ) {
-        use ucnn_core::flatten::{run_flattened_batch_interleaved_forced, FlattenedTile};
-        use ucnn_core::simd::{available_tiers, KernelSel};
+        use ucnn_core::flatten::run_flattened_batch_interleaved_forced;
+        use ucnn_core::simd::available_tiers;
 
         let b = [1usize, 3, 9, 17][b_sel];
         let (w, h, r, s) = (6usize, 5usize, 3usize, 3usize);
@@ -264,29 +264,15 @@ proptest! {
             .collect();
         let cfg = UcnnConfig { g, ct, ..UcnnConfig::default() };
         let layer = CompiledLayer::compile(&geom, 1, &filters, &cfg);
-        // The alphabet must actually classify pow2, or the shift path
-        // would silently never engage and the property would test nothing.
-        prop_assert!(
-            layer.flat_tiles().iter().all(FlattenedTile::pow2_alphabet),
-            "pow2/ternary weights must classify as a pow2 alphabet"
-        );
         let expected: Vec<Tensor3<i32>> = inputs
             .iter()
             .map(|i| reference::conv2d(&geom, 1, i, &filters))
             .collect();
         for &tier in available_tiers() {
-            let shifted = run_flattened_batch_interleaved_forced(
-                &layer, &inputs, threads, KernelSel { tier, shift_add: true });
-            let multiplied = run_flattened_batch_interleaved_forced(
-                &layer, &inputs, threads, KernelSel { tier, shift_add: false });
+            let got = run_flattened_batch_interleaved_forced(&layer, &inputs, threads, tier);
             prop_assert_eq!(
-                &shifted, &multiplied,
-                "tier '{}': shift-add diverged from broadcast multiply (B={}, threads={})",
-                tier.name(), b, threads
-            );
-            prop_assert_eq!(
-                &shifted, &expected,
-                "tier '{}': shift-add diverged from the dense reference (B={}, threads={})",
+                &got, &expected,
+                "tier '{}' diverged from the dense reference (B={}, threads={})",
                 tier.name(), b, threads
             );
         }

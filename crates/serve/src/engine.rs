@@ -32,8 +32,8 @@
 //! per-request execution at every batch size and thread count.
 //!
 //! Workers are plain threads, which makes two serve-path costs one-time
-//! instead of per-request: the flattened executors keep a **per-thread
-//! scratch arena** (`ucnn_core::flatten::FlattenedScratch`), so each
+//! instead of per-request: the flattened executor keeps a **per-thread
+//! scratch arena**, so each
 //! worker's steady-state hot path stops allocating scratch per batch, and
 //! lazily lowered plan state is **warmed** ahead of traffic — by the
 //! [`ModelRegistry`] at insert/override time (the override and preference
@@ -94,7 +94,7 @@ impl Default for EngineConfig {
             queue_capacity: 256,
             max_batch: 8,
             exec_threads: 1,
-            backend: BackendKind::BatchThreads,
+            backend: CompiledNetwork::DEFAULT_BACKEND,
         }
     }
 }
@@ -1278,91 +1278,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_serves_bit_exact_and_retunes_online() {
-        use ucnn_core::tune::{shape_key, CalibrationTable};
-        use ucnn_core::CompiledStage;
-
-        // A calibration that deliberately pins the slowest backend
-        // (factorized, estimated at a fantasy 1ns) on every layer: serving
-        // through `auto` must still be bit-exact, and the execute path's
-        // per-layer timing must feed real latencies back into the table
-        // (the online re-tune), replacing the fantasy estimate.
-        let net = networks::tiny();
-        let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 61, 0.9);
-        let plan = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));
-        let shapes: Vec<String> = plan
-            .stages()
-            .iter()
-            .filter_map(|s| match s {
-                CompiledStage::Conv { layer, .. } => Some(shape_key(layer)),
-                CompiledStage::Pool { .. } => None,
-            })
-            .collect();
-        let table = Arc::new(CalibrationTable::new());
-        for shape in &shapes {
-            table.seed(shape, 1, BackendKind::Factorized, 1);
-        }
-        let registry = Arc::new(ModelRegistry::new());
-        registry.insert(plan.with_calibration(Arc::clone(&table)));
-
-        let mut agen = ActivationGen::new(62);
-        let cases: Vec<_> = (0..3)
-            .map(|_| {
-                let input = agen.generate_for(&net.conv_layers()[0]);
-                let expected = forward::dense_forward(&net, &weights, &input);
-                (input, expected)
-            })
-            .collect();
-        let engine = Engine::start(
-            Arc::clone(&registry),
-            EngineConfig {
-                workers: 1,
-                max_batch: 1,
-                backend: BackendKind::Auto,
-                ..EngineConfig::default()
-            },
-        );
-        for (i, (input, expected)) in cases.iter().enumerate() {
-            let resp = engine
-                .submit("tiny", input.clone())
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert_eq!(&resp.output, expected, "auto request {i}");
-        }
-        // Factorized stayed elected (no other backend has an estimate),
-        // but its estimate now reflects measured reality, not the seed.
-        let plan = registry.get("tiny").unwrap();
-        for row in plan.calibration().unwrap().rows() {
-            assert_eq!(row.choice, BackendKind::Factorized);
-            let fact_idx = BackendKind::STATIC
-                .iter()
-                .position(|k| *k == BackendKind::Factorized)
-                .unwrap();
-            assert!(
-                row.est_ns[fact_idx] > 1,
-                "online feedback must replace the fantasy estimate: {row:?}"
-            );
-        }
-        // An authoritative probe of a cheaper backend re-elects it, and
-        // the next requests (dispatched through the new winner) stay
-        // bit-exact.
-        for shape in &shapes {
-            table.seed(shape, 1, BackendKind::Flattened, 1);
-        }
-        for (input, expected) in &cases {
-            let resp = engine
-                .submit("tiny", input.clone())
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert_eq!(&resp.output, expected);
-        }
-        let stats = engine.shutdown();
-        assert_eq!(stats.served, 6);
-    }
-
-    #[test]
     fn engine_start_warms_plans_for_its_default_backend() {
         use ucnn_core::plan::CompiledStage;
 
@@ -1393,14 +1308,14 @@ mod tests {
 
     #[test]
     fn per_model_backend_override_takes_precedence() {
-        // Registry override (flattened) vs engine default (batch-threads):
-        // both must serve bit-exact outputs; the override path is exercised
-        // by resolving through submit().
+        // Registry override (flattened-batch) vs engine default
+        // (batch-threads): both must serve bit-exact outputs; the override
+        // path is exercised by resolving through submit().
         let registry = Arc::new(ModelRegistry::new());
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 43, 0.9);
         registry.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        assert!(registry.set_backend("tiny", Some(BackendKind::Flattened)));
+        assert!(registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
         let mut agen = ActivationGen::new(44);
         let input = agen.generate_for(&net.conv_layers()[0]);
         let expected = forward::dense_forward(&net, &weights, &input);
@@ -1427,18 +1342,18 @@ mod tests {
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 45, 0.9);
         let compiled = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2))
-            .with_backend(BackendKind::Flattened);
+            .with_backend(BackendKind::FlattenedBatch);
         let plan = registry.insert(compiled);
         let engine = Engine::start(Arc::clone(&registry), EngineConfig::default());
         assert_eq!(engine.backend(), BackendKind::BatchThreads);
         assert_eq!(
             engine.resolve_backend(None, &plan),
-            BackendKind::Flattened,
+            BackendKind::FlattenedBatch,
             "plan preference must beat the engine default"
         );
         assert_eq!(
-            engine.resolve_backend(Some(BackendKind::Compiled), &plan),
-            BackendKind::Compiled,
+            engine.resolve_backend(Some(BackendKind::BatchThreads), &plan),
+            BackendKind::BatchThreads,
             "registry override must beat the plan preference"
         );
         let no_pref = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2));

@@ -489,7 +489,7 @@ mod tests {
         // override survives from the runs above).
         let fresh = ModelRegistry::new();
         let preferred = CompiledNetwork::compile(&net, &weights, &UcnnConfig::with_g(2))
-            .with_backend(BackendKind::Flattened);
+            .with_backend(BackendKind::FlattenedBatch);
         let arc = fresh.insert(preferred);
         assert!(flat_ready(&arc), "insert must warm the plan preference");
     }
@@ -502,26 +502,26 @@ mod tests {
         let net = networks::tiny();
         let w1 = forward::generate_network_weights(&net, QuantScheme::inq(), 8, 0.9);
         assert!(
-            !registry.set_backend("tiny", Some(BackendKind::Flattened)),
+            !registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)),
             "override on an absent model must be rejected"
         );
         registry.compile_and_insert(&net, &w1, &UcnnConfig::with_g(2));
         assert_eq!(registry.backend_override("tiny"), None);
 
-        assert!(registry.set_backend("tiny", Some(BackendKind::Flattened)));
+        assert!(registry.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
         assert_eq!(
             registry.backend_override("tiny"),
-            Some(BackendKind::Flattened)
+            Some(BackendKind::FlattenedBatch)
         );
         let (_, kind) = registry.get_with_backend("tiny").unwrap();
-        assert_eq!(kind, Some(BackendKind::Flattened));
+        assert_eq!(kind, Some(BackendKind::FlattenedBatch));
 
         // A model hot-swap keeps the operator's backend choice.
         let w2 = forward::generate_network_weights(&net, QuantScheme::inq(), 9, 0.9);
         registry.compile_and_insert(&net, &w2, &UcnnConfig::with_g(2));
         assert_eq!(
             registry.backend_override("tiny"),
-            Some(BackendKind::Flattened)
+            Some(BackendKind::FlattenedBatch)
         );
 
         assert!(registry.set_backend("tiny", None));
@@ -562,7 +562,7 @@ mod tests {
         let fresh = ModelRegistry::new();
         let p2 = fresh.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
         assert!(!flat_ready(&p2));
-        fresh.set_default_backend(BackendKind::Flattened);
+        fresh.set_default_backend(BackendKind::FlattenedBatch);
         assert!(fresh.set_backend("tiny", None));
         assert!(
             flat_ready(&p2),
@@ -605,9 +605,9 @@ mod tests {
         // un-warms anything — warming is idempotent and additive.
         let fresh = ModelRegistry::new();
         let p2 = fresh.compile_and_insert(&net, &weights, &UcnnConfig::with_g(2));
-        assert!(fresh.set_backend("tiny", Some(BackendKind::Flattened)));
+        assert!(fresh.set_backend("tiny", Some(BackendKind::FlattenedBatch)));
         assert!(flat_ready(&p2), "setting an override warms its tier");
-        fresh.set_default_backend(BackendKind::Batch);
+        fresh.set_default_backend(BackendKind::BatchThreads);
         assert!(
             flat_ready(&p2),
             "a default flip must not disturb an override's warmed state"
@@ -668,12 +668,12 @@ mod tests {
         let net = networks::tiny();
         let weights = forward::generate_network_weights(&net, QuantScheme::inq(), 15, 0.9);
         let plan = registry.compile_and_insert(&net, &weights, &UcnnConfig::default());
-        registry.set_backend("tiny", Some(BackendKind::Batch));
+        registry.set_backend("tiny", Some(BackendKind::BatchThreads));
         registry.set_quota("tiny", Some(4));
 
         let resolved = registry.resolve("tiny").unwrap();
         assert!(Arc::ptr_eq(&resolved.plan, &plan));
-        assert_eq!(resolved.backend, Some(BackendKind::Batch));
+        assert_eq!(resolved.backend, Some(BackendKind::BatchThreads));
         assert_eq!(resolved.quota.limit(), Some(4));
         assert!(Arc::ptr_eq(
             &resolved.quota,

@@ -16,11 +16,10 @@
 //! * `--batch N` — max requests per batched forward (default 8).
 //! * `--threads N` — scoped exec threads inside each batched forward
 //!   (default 1).
-//! * `--backend NAME` — executor backend (`factorized`, `compiled`,
-//!   `batch`, `batch-threads`, `flattened`, `flattened-batch`, or the
-//!   cost-model dispatcher `auto`; default `batch-threads`). Every
-//!   backend is bit-identical, so this only changes performance — the CI
-//!   backend matrix drives this flag across all seven.
+//! * `--backend NAME` — executor backend (`batch-threads` or
+//!   `flattened-batch`; default `batch-threads`). Both backends are
+//!   bit-identical, so this only changes performance — the CI backend
+//!   matrix drives this flag across both.
 //! * `--workload NAME` — run one arrival process (`closed`, `open`,
 //!   `bursty`, `ramp`) instead of the default closed + open + bursty sweep.
 //! * `--mix NAME` — model mix (`uniform`, `hotcold`, `sequential`;
@@ -43,6 +42,7 @@ use std::sync::Arc;
 
 use ucnn::core::backend::BackendKind;
 use ucnn::core::compile::UcnnConfig;
+use ucnn::core::plan::CompiledNetwork;
 use ucnn::model::{forward, networks, ActivationGen, QuantScheme};
 use ucnn::serve::harness::{self, Case, HarnessReport, ModelCases, RunConfig};
 use ucnn::serve::workload::{Arrival, Mix, StandardWorkload};
@@ -92,7 +92,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        None => BackendKind::BatchThreads,
+        None => CompiledNetwork::DEFAULT_BACKEND,
     };
     let mix_name = arg_str(&args, "--mix").map_or("sequential", String::as_str);
     let Some(mix) = Mix::parse(mix_name) else {
